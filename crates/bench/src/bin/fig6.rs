@@ -4,9 +4,11 @@
 //!
 //! Note on the upper mode: the paper plots it at criticality 1.0; under
 //! this implementation's collapsed-random tightness convention dominant
-//! edges saturate near 0.5 instead (see `EXPERIMENTS.md`). The *shape* —
-//! most edges near 0, a dominant-edge mode at the saturation point, and a
-//! thin middle — is the reproduced result.
+//! edges saturate near 0.5 instead (see `ssta_core::criticality`). The
+//! *shape* — most edges near 0, a dominant-edge mode at the saturation
+//! point, and a thin middle — is the reproduced result. That the edge
+//! ordering survives the convention is unverified until a Monte-Carlo
+//! argmax cross-check exists.
 //!
 //! `SSTA_BENCHMARKS=c432` switches the circuit.
 

@@ -21,7 +21,7 @@ pub use model::{ExtractionStats, TimingModel};
 pub use sequential::{extract_registered, ConstraintArc, SequentialModel};
 
 use crate::canonical::CanonicalForm;
-use crate::criticality::{edge_criticalities, CriticalityOptions};
+use crate::criticality::{self, CriticalityOptions};
 use crate::module::ModuleContext;
 use crate::CoreError;
 use ssta_timing::{EdgeId, TimingGraph, VertexId};
@@ -93,12 +93,29 @@ pub fn extract(ctx: &ModuleContext, options: &ExtractOptions) -> Result<TimingMo
         });
     }
     let started = Instant::now();
+    // Step 1: maximum criticality per edge, saturating at δ — an edge stops
+    // being scored once it is kept, so only the decisions `c_m ≥ δ` below
+    // are meaningful, and they equal those of the exact sweep.
+    let cms = criticality::sweep(
+        ctx.graph(),
+        &ctx.zero(),
+        &options.criticality,
+        options.delta,
+    )?;
+    extract_from_criticalities(ctx, options, &cms, started)
+}
+
+/// Steps 2 and 3 of [`extract`] given per-slot maximum criticalities whose
+/// decisions `c_m ≥ δ` are exact.
+fn extract_from_criticalities(
+    ctx: &ModuleContext,
+    options: &ExtractOptions,
+    cms: &[f64],
+    started: Instant,
+) -> Result<TimingModel, CoreError> {
     let graph = ctx.graph();
     let original_edges = graph.n_edges();
     let original_vertices = graph.n_vertices();
-
-    // Step 1: maximum criticality per edge.
-    let cms = edge_criticalities(graph, &ctx.zero(), &options.criticality)?;
 
     // Step 2: decide the keep set.
     let mut keep: Vec<bool> = vec![false; cms.len()];
@@ -491,6 +508,31 @@ mod tests {
         let ga = serde_json::to_string(a.graph()).unwrap();
         let gb = serde_json::to_string(b.graph()).unwrap();
         assert_eq!(ga, gb, "model graphs must be bit-identical");
+    }
+
+    #[test]
+    fn saturating_extraction_matches_an_oracle_driven_one_bitwise() {
+        // `extract` stops scoring an edge once it is kept; the model must
+        // be byte-identical to one pruned by exact, allocating criticality.
+        let ctx = ctx("c432");
+        let oracle = crate::criticality::oracle_edge_criticalities(
+            ctx.graph(),
+            &ctx.zero(),
+            CriticalityOptions::default().prefilter_sigmas,
+        );
+        for delta in [0.0, 0.01, 0.05, 0.3, 1.0] {
+            let options = ExtractOptions {
+                delta,
+                ..Default::default()
+            };
+            let got = extract(&ctx, &options).unwrap();
+            let want = extract_from_criticalities(&ctx, &options, &oracle, Instant::now()).unwrap();
+            assert_eq!(
+                serde_json::to_string(got.graph()).unwrap(),
+                serde_json::to_string(want.graph()).unwrap(),
+                "δ = {delta}"
+            );
+        }
     }
 
     #[test]

@@ -326,15 +326,31 @@ pub fn clark_max(mean_a: f64, var_a: f64, mean_b: f64, var_b: f64, cov: f64) -> 
 
 /// The tightness probability `P{A ≥ B}` alone (equation (6) of the paper).
 ///
-/// Cheaper than [`clark_max`] when only the probability is needed — the
-/// criticality engine calls this in its innermost loop.
+/// Cheaper than [`clark_max`] when only the probability is needed.
+/// Always equals `normal_cdf(tightness_z(..))` bit for bit.
 pub fn tightness_probability(mean_a: f64, var_a: f64, mean_b: f64, var_b: f64, cov: f64) -> f64 {
+    normal_cdf(tightness_z(mean_a, var_a, mean_b, var_b, cov))
+}
+
+/// The standardized gap `z = (mean_a − mean_b) / θ` whose `Φ` is the
+/// tightness probability `P{A ≥ B}`.
+///
+/// In the degenerate case (`θ²` negligible against the operand variances)
+/// it returns `+∞` when `A` wins (ties included) and `−∞` otherwise, so
+/// `normal_cdf` maps it to exactly 1 or 0. Split out so the criticality
+/// engine can compare candidates in `z` and evaluate `Φ` only for those
+/// that can raise a maximum.
+pub fn tightness_z(mean_a: f64, var_a: f64, mean_b: f64, var_b: f64, cov: f64) -> f64 {
     let theta_sq = var_a + var_b - 2.0 * cov;
     let scale = var_a.abs().max(var_b.abs()).max(1e-300);
     if theta_sq <= 1e-12 * scale {
-        return if mean_a >= mean_b { 1.0 } else { 0.0 };
+        return if mean_a >= mean_b {
+            f64::INFINITY
+        } else {
+            f64::NEG_INFINITY
+        };
     }
-    normal_cdf((mean_a - mean_b) / theta_sq.sqrt())
+    (mean_a - mean_b) / theta_sq.sqrt()
 }
 
 #[cfg(test)]
@@ -479,5 +495,98 @@ mod tests {
         // A - B ~ N(0.3, 1 + 1 - 1 = 1)  =>  P = Φ(0.3).
         let tp = tightness_probability(0.3, 1.0, 0.0, 1.0, 0.5);
         assert!((tp - normal_cdf(0.3)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn tightness_probability_is_phi_of_tightness_z_bitwise() {
+        let cases = [
+            (1.0, 2.0, 1.5, 1.0, 0.4),
+            (0.3, 1.0, 0.0, 1.0, 0.5),
+            (-3.0, 1.0, -2.9, 1.0, 0.9),
+            (50.0, 4.0, 40.0, 9.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0, 0.0),
+            // Degenerate θ² (perfectly correlated operands): A wins ties.
+            (3.0, 4.0, 1.0, 4.0, 4.0),
+            (1.0, 4.0, 3.0, 4.0, 4.0),
+            (2.0, 4.0, 2.0, 4.0, 4.0),
+        ];
+        for (ma, va, mb, vb, cov) in cases {
+            let z = tightness_z(ma, va, mb, vb, cov);
+            let tp = tightness_probability(ma, va, mb, vb, cov);
+            assert_eq!(
+                tp.to_bits(),
+                normal_cdf(z).to_bits(),
+                "case {ma} {va} {mb} {vb} {cov}"
+            );
+        }
+        assert_eq!(tightness_z(3.0, 4.0, 1.0, 4.0, 4.0), f64::INFINITY);
+        assert_eq!(tightness_z(2.0, 4.0, 2.0, 4.0, 4.0), f64::INFINITY);
+        assert_eq!(tightness_z(1.0, 4.0, 3.0, 4.0, 4.0), f64::NEG_INFINITY);
+        assert_eq!(normal_cdf(f64::INFINITY), 1.0);
+        assert_eq!(normal_cdf(f64::NEG_INFINITY), 0.0);
+    }
+
+    /// `normal_cdf` is not ulp-monotone (it can drop by an ulp across a
+    /// Cody region boundary), but the criticality engine only relies on
+    /// `z1 < z2 − 1e-6 ⇒ Φ(z1) ≤ Φ(z2)` for `z2 ≤ 5`. Check that premise
+    /// over a dense grid on `[−40, 5]` merged with ±10⁶-ulp walks around
+    /// every region boundary (`|z| = 0.46875·√2, 4·√2, 26.5·√2`).
+    #[test]
+    fn normal_cdf_is_monotone_beyond_the_skip_margin() {
+        const MARGIN: f64 = 1e-6;
+        const WALK: i64 = 1_000_000;
+        const STEP: f64 = 1e-5;
+        let mut centers: Vec<f64> = [0.46875, 4.0, 26.5]
+            .iter()
+            .flat_map(|&y| [-y / FRAC_1_SQRT_2, y / FRAC_1_SQRT_2])
+            .collect();
+        centers.sort_by(f64::total_cmp);
+        // Ascending ulp walk around `c` (for negative `c` larger bit
+        // patterns are further from zero).
+        let walk = |c: f64| {
+            let bits = c.to_bits() as i64;
+            let dir = if c > 0.0 { 1 } else { -1 };
+            (-WALK..=WALK).map(move |k| f64::from_bits((bits + dir * k) as u64))
+        };
+        let walks = centers.into_iter().flat_map(walk);
+        let n_grid = (45.0 / STEP) as usize;
+        let grid = (0..=n_grid).map(|k| -40.0 + k as f64 * STEP);
+
+        // Merge both ascending streams; keep the points within MARGIN of
+        // the current one in a window and fold older ones into a running
+        // maximum of Φ.
+        let mut walks = walks.peekable();
+        let mut grid = grid.peekable();
+        let mut window = std::collections::VecDeque::new();
+        let mut max_before = f64::NEG_INFINITY;
+        let mut checked = 0usize;
+        let mut prev = f64::NEG_INFINITY;
+        loop {
+            let z = match (grid.peek(), walks.peek()) {
+                (Some(&g), Some(&w)) if g <= w => grid.next(),
+                (Some(_), Some(_)) => walks.next(),
+                (Some(_), None) => grid.next(),
+                (None, _) => walks.next(),
+            };
+            let Some(z) = z else { break };
+            assert!(z >= prev, "points must ascend: {prev} then {z}");
+            prev = z;
+            while let Some(&(w, phi)) = window.front() {
+                if w < z - MARGIN {
+                    max_before = f64::max(max_before, phi);
+                    window.pop_front();
+                } else {
+                    break;
+                }
+            }
+            let phi = normal_cdf(z);
+            assert!(
+                max_before <= phi,
+                "Φ({z}) = {phi} below {max_before} reached more than {MARGIN} to its left"
+            );
+            window.push_back((z, phi));
+            checked += 1;
+        }
+        assert_eq!(checked, n_grid + 1 + 6 * (2 * WALK as usize + 1));
     }
 }
